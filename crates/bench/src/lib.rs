@@ -5,11 +5,12 @@
 //! shadow-queue lookups, credit transfers and queue resizes — relative to a
 //! stock cache, under the worst-case workload of §5.6 (every key unique, so
 //! every GET misses, every miss probes the shadow queues, and every fill
-//! evicts). The measurements here run in-process against the same
-//! [`cache_server::SharedCache`] the TCP server uses, which isolates the
-//! algorithmic overhead from network and syscall noise (the paper's absolute
-//! numbers come from a different testbed; the comparison of interest is
-//! relative overhead).
+//! evicts). The measurements here run in-process against one
+//! [`cache_server::Engine`], the per-shard engine an event loop of the TCP
+//! server owns, through the same calls the loop makes for a wire GET or
+//! SET. That isolates the algorithmic overhead from network, syscall and
+//! message-passing noise (the paper's absolute numbers come from a
+//! different testbed; the comparison of interest is relative overhead).
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,12 @@
 //! Tables 6 and 7: latency and throughput overhead of the algorithms.
+//!
+//! Each scenario drives one [`Engine`] with the calls an event loop makes
+//! for a wire GET or SET ([`route_key`], then [`Engine::wire_get`] or
+//! [`Engine::wire_set`]), so the numbers time the algorithm on the request
+//! path that serves traffic, with no lock or network around it.
 
 use bytes::Bytes;
-use cache_server::{BackendConfig, BackendMode, SharedCache};
+use cache_server::{route_key, BackendConfig, BackendMode, Engine};
 use simulator::report::Table;
 use std::time::Instant;
 use workloads::SizeDistribution;
@@ -40,12 +45,25 @@ impl OverheadOptions {
     }
 }
 
-fn backend(mode: BackendMode, bytes: u64) -> SharedCache {
-    SharedCache::new(BackendConfig {
-        total_bytes: bytes,
+/// One engine holding the whole cache budget.
+fn engine(mode: BackendMode, bytes: u64) -> Engine {
+    let config = BackendConfig {
         mode,
         ..BackendConfig::default()
-    })
+    };
+    Engine::build(&config, bytes)
+}
+
+/// A GET exactly as the owning event loop runs it.
+fn get(engine: &mut Engine, key: &[u8]) -> Option<(u32, Bytes)> {
+    let (_, id) = route_key(0, key, 1);
+    engine.wire_get(id, key)
+}
+
+/// A SET exactly as the owning event loop runs it.
+fn set(engine: &mut Engine, key: &[u8], data: Bytes) -> bool {
+    let (_, id) = route_key(0, key, 1);
+    engine.wire_set(id, key, 0, data)
 }
 
 fn value_for(i: u64) -> Bytes {
@@ -60,10 +78,10 @@ fn unique_key(space: &str, i: u64) -> Vec<u8> {
 
 /// Fills the cache (and its shadow queues) with unique keys so that it is
 /// full and every subsequent miss exercises eviction and shadow bookkeeping.
-fn warm_up(cache: &SharedCache, operations: u64) {
+fn warm_up(cache: &mut Engine, operations: u64) {
     for i in 0..operations {
         let key = unique_key("warm", i);
-        cache.set(&key, 0, value_for(i));
+        set(cache, &key, value_for(i));
     }
 }
 
@@ -83,20 +101,20 @@ struct LatencyNumbers {
 }
 
 fn latency_numbers(mode: BackendMode, options: &OverheadOptions) -> LatencyNumbers {
-    let cache = backend(mode, options.cache_bytes);
-    warm_up(&cache, options.warmup_operations);
+    let mut cache = engine(mode, options.cache_bytes);
+    warm_up(&mut cache, options.warmup_operations);
 
     // GET hits: a small resident working set touched repeatedly.
     let resident: Vec<Vec<u8>> = (0..1_000u64)
         .map(|i| {
             let key = unique_key("hot", i);
-            cache.set(&key, 0, Bytes::from_static(b"hot-value"));
+            set(&mut cache, &key, Bytes::from_static(b"hot-value"));
             key
         })
         .collect();
     let get_hit_ns = measure(options.operations, |i| {
         let key = &resident[(i % resident.len() as u64) as usize];
-        std::hint::black_box(cache.get(key));
+        std::hint::black_box(get(&mut cache, key));
     });
 
     // GET misses on unique keys (worst case: every miss probes the shadow
@@ -105,7 +123,7 @@ fn latency_numbers(mode: BackendMode, options: &OverheadOptions) -> LatencyNumbe
     let get_miss_ns = measure(options.operations, |_| {
         counter += 1;
         let key = unique_key("miss", counter);
-        std::hint::black_box(cache.get(&key));
+        std::hint::black_box(get(&mut cache, &key));
     });
 
     // SETs of unique keys with the cache full: every store evicts and pushes
@@ -114,7 +132,7 @@ fn latency_numbers(mode: BackendMode, options: &OverheadOptions) -> LatencyNumbe
     let set_miss_ns = measure(options.operations, |_| {
         set_counter += 1;
         let key = unique_key("fill", set_counter);
-        std::hint::black_box(cache.set(&key, 0, value_for(set_counter)));
+        std::hint::black_box(set(&mut cache, &key, value_for(set_counter)));
     });
 
     LatencyNumbers {
@@ -169,8 +187,8 @@ pub fn table6_latency_overhead(options: &OverheadOptions) -> Table {
 }
 
 fn throughput_ops_per_sec(mode: BackendMode, get_fraction: f64, options: &OverheadOptions) -> f64 {
-    let cache = backend(mode, options.cache_bytes);
-    warm_up(&cache, options.warmup_operations);
+    let mut cache = engine(mode, options.cache_bytes);
+    warm_up(&mut cache, options.warmup_operations);
     let mut counter = 0u64;
     let start = Instant::now();
     for i in 0..options.operations {
@@ -180,9 +198,9 @@ fn throughput_ops_per_sec(mode: BackendMode, get_fraction: f64, options: &Overhe
         counter += 1;
         let key = unique_key("tp", counter);
         if is_get {
-            std::hint::black_box(cache.get(&key));
+            std::hint::black_box(get(&mut cache, &key));
         } else {
-            std::hint::black_box(cache.set(&key, 0, value_for(counter)));
+            std::hint::black_box(set(&mut cache, &key, value_for(counter)));
         }
     }
     options.operations as f64 / start.elapsed().as_secs_f64()

@@ -1,18 +1,13 @@
-//! The per-(shard, tenant) cache engine and the key-routing arithmetic,
-//! shared by the two backends:
+//! The per-(shard, tenant) cache engine and the key-routing arithmetic.
 //!
-//! * [`crate::backend::SharedCache`] — the embedded, lock-per-engine
-//!   backend used by tests, benches and library consumers;
-//! * the server's shared-nothing data plane (`crate::plane`) — where each
-//!   event loop *owns* its engines outright and no lock exists at all.
-//!
-//! Keeping the engine operations (exact-match lookup semantics, charge
-//! accounting, budget grow/shrink) and the routing function in one place
-//! guarantees the two backends cannot drift: a key stores the same bytes,
-//! charges the same size and routes to the same shard no matter which
-//! front end drives it.
+//! The server's shared-nothing data plane (`crate::plane`) gives each event
+//! loop outright ownership of its shards' engines, so no lock exists on the
+//! request path. Keeping the engine operations (exact-match lookup
+//! semantics, charge accounting, budget grow/shrink) and the routing
+//! function here lets the paper's overhead tables drive an [`Engine`] with
+//! the exact calls an event loop makes.
 
-use crate::backend::{BackendConfig, BackendMode};
+use crate::config::{BackendConfig, BackendMode};
 use bytes::Bytes;
 use cache_core::key::mix64;
 use cache_core::store::AllocationMode;
@@ -54,7 +49,7 @@ pub(crate) fn charge_size(key: &[u8], data: &[u8]) -> u64 {
 /// tenants fold a per-tenant salt in (the backend-side form of key
 /// prefixing) so their key populations spread independently, while the
 /// default tenant routes exactly as the single-tenant server did.
-pub(crate) fn route_key(tenant: usize, key: &[u8], shards: usize) -> (usize, Key) {
+pub fn route_key(tenant: usize, key: &[u8], shards: usize) -> (usize, Key) {
     let hash = hash_bytes(key);
     let salt = if tenant == 0 { 0 } else { mix64(tenant as u64) };
     let index = (mix64(hash ^ salt) % shards as u64) as usize;
@@ -85,25 +80,29 @@ pub(crate) fn even_split(total: u64, parts: usize) -> Vec<u64> {
 
 /// One tenant's cache engine on one shard: a plain slab cache in
 /// `Default` mode, a Cliffhanger-managed cache otherwise. The engine has
-/// no lock of its own — synchronisation (a mutex in the embedded backend,
-/// thread ownership in the data plane) is the caller's concern.
-pub(crate) enum Engine {
+/// no lock of its own: the event loop that owns its shard is the only
+/// thread that touches it.
+pub struct Engine(Inner);
+
+enum Inner {
     Plain(Box<SlabCache<StoredValue>>),
     Managed(Box<Cliffhanger<StoredValue>>),
 }
 
 impl Engine {
     /// Builds an engine of `config.mode` with a `engine_bytes` budget.
-    pub(crate) fn build(config: &BackendConfig, engine_bytes: u64) -> Engine {
+    pub fn build(config: &BackendConfig, engine_bytes: u64) -> Engine {
         match config.mode {
-            BackendMode::Default => Engine::Plain(Box::new(SlabCache::new(SlabCacheConfig {
-                slab: config.slab.clone(),
-                total_bytes: engine_bytes,
-                policy: PolicyKind::Lru,
-                mode: AllocationMode::FirstComeFirstServe { page_size: 1 << 20 },
-                shadow_bytes: 0,
-                tail_region_items: 0,
-            }))),
+            BackendMode::Default => {
+                Engine(Inner::Plain(Box::new(SlabCache::new(SlabCacheConfig {
+                    slab: config.slab.clone(),
+                    total_bytes: engine_bytes,
+                    policy: PolicyKind::Lru,
+                    mode: AllocationMode::FirstComeFirstServe { page_size: 1 << 20 },
+                    shadow_bytes: 0,
+                    tail_region_items: 0,
+                }))))
+            }
             BackendMode::HillClimbing | BackendMode::Cliffhanger => {
                 let cfg = CliffhangerConfig {
                     slab: config.slab.clone(),
@@ -112,7 +111,7 @@ impl Engine {
                     enable_cliff_scaling: config.mode == BackendMode::Cliffhanger,
                     ..CliffhangerConfig::default()
                 };
-                Engine::Managed(Box::new(Cliffhanger::new(cfg)))
+                Engine(Inner::Managed(Box::new(Cliffhanger::new(cfg))))
             }
         }
     }
@@ -120,15 +119,15 @@ impl Engine {
     /// Installs a decision-event sink on a managed engine (the flight
     /// recorder hook); a plain slab cache makes no decisions to narrate.
     pub(crate) fn set_event_sink(&mut self, sink: Arc<dyn EventSink + Send + Sync>) {
-        if let Engine::Managed(cache) = self {
+        if let Inner::Managed(cache) = &mut self.0 {
             cache.set_event_sink(sink);
         }
     }
 
     pub(crate) fn value(&self, id: Key) -> Option<&StoredValue> {
-        match self {
-            Engine::Plain(cache) => cache.value(id),
-            Engine::Managed(cache) => cache.value(id),
+        match &self.0 {
+            Inner::Plain(cache) => cache.value(id),
+            Inner::Managed(cache) => cache.value(id),
         }
     }
 
@@ -141,9 +140,9 @@ impl Engine {
     /// managed mode) and returns `(flags, data)` on an exact byte-string
     /// match. A 64-bit hash collision is a miss for the colliding key,
     /// never a wrong value.
-    pub(crate) fn wire_get(&mut self, id: Key, key: &[u8]) -> Option<(u32, Bytes)> {
-        let found = match self {
-            Engine::Plain(cache) => {
+    pub fn wire_get(&mut self, id: Key, key: &[u8]) -> Option<(u32, Bytes)> {
+        let found = match &mut self.0 {
+            Inner::Plain(cache) => {
                 let hit = cache.get_untyped(id).result.hit;
                 if hit {
                     cache.value(id).cloned()
@@ -151,7 +150,7 @@ impl Engine {
                     None
                 }
             }
-            Engine::Managed(cache) => {
+            Inner::Managed(cache) => {
                 let (_, event) = cache.get_untyped(id);
                 if event.hit {
                     cache.value(id).cloned()
@@ -169,19 +168,19 @@ impl Engine {
     /// A wire-level store: charges `key + data` bytes and admits the item.
     /// Returns `false` only if the item could not be admitted (e.g. larger
     /// than the largest slab class).
-    pub(crate) fn wire_set(&mut self, id: Key, key: &[u8], flags: u32, data: Bytes) -> bool {
+    pub fn wire_set(&mut self, id: Key, key: &[u8], flags: u32, data: Bytes) -> bool {
         let size = charge_size(key, &data);
         let stored = StoredValue::new(key, flags, data);
         self.set(id, size, stored)
     }
 
     pub(crate) fn set(&mut self, id: Key, size: u64, stored: StoredValue) -> bool {
-        match self {
-            Engine::Plain(cache) => cache
+        match &mut self.0 {
+            Inner::Plain(cache) => cache
                 .set(id, size, stored)
                 .map(|(_, r)| r.admitted)
                 .unwrap_or(false),
-            Engine::Managed(cache) => cache
+            Inner::Managed(cache) => cache
                 .set(id, size, stored)
                 .map(|(_, admitted)| admitted)
                 .unwrap_or(false),
@@ -190,23 +189,23 @@ impl Engine {
 
     /// Deletes `id`; returns whether it was present.
     pub(crate) fn delete(&mut self, id: Key) -> bool {
-        match self {
-            Engine::Plain(cache) => cache.delete(id),
-            Engine::Managed(cache) => cache.delete(id),
+        match &mut self.0 {
+            Inner::Plain(cache) => cache.delete(id),
+            Inner::Managed(cache) => cache.delete(id),
         }
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
-        match self {
-            Engine::Plain(cache) => cache.stats(),
-            Engine::Managed(cache) => cache.stats(),
+        match &self.0 {
+            Inner::Plain(cache) => cache.stats(),
+            Inner::Managed(cache) => cache.stats(),
         }
     }
 
     /// Grows the engine's total budget (managed engines only; a plain slab
     /// cache has no dynamic-budget path and is never rebalanced).
     pub(crate) fn grow_total(&mut self, bytes: u64) {
-        if let Engine::Managed(cache) = self {
+        if let Inner::Managed(cache) = &mut self.0 {
             cache.grow_total(bytes);
         }
     }
@@ -214,23 +213,23 @@ impl Engine {
     /// Releases `bytes` of the engine's budget, evicting as needed. Returns
     /// whether the release happened.
     pub(crate) fn shrink_total(&mut self, bytes: u64) -> bool {
-        match self {
-            Engine::Plain(_) => false,
-            Engine::Managed(cache) => cache.shrink_total(bytes),
+        match &mut self.0 {
+            Inner::Plain(_) => false,
+            Inner::Managed(cache) => cache.shrink_total(bytes),
         }
     }
 
     pub(crate) fn used_bytes(&self) -> u64 {
-        match self {
-            Engine::Plain(cache) => cache.used_bytes(),
-            Engine::Managed(cache) => cache.used_bytes(),
+        match &self.0 {
+            Inner::Plain(cache) => cache.used_bytes(),
+            Inner::Managed(cache) => cache.used_bytes(),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        match self {
-            Engine::Plain(cache) => cache.len(),
-            Engine::Managed(cache) => cache.len(),
+        match &self.0 {
+            Inner::Plain(cache) => cache.len(),
+            Inner::Managed(cache) => cache.len(),
         }
     }
 }

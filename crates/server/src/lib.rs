@@ -30,9 +30,11 @@
 //!   `app_create` / `app_list` live-onboarding admin commands. The
 //!   resumable [`protocol::Parser`] lets a connection pick a `set` back up
 //!   mid-value when the data block trickles in.
-//! * [`backend`] — the embedded backend: the same sharded, multi-tenant
-//!   engine hierarchy behind one lock per engine, for tests, benches and
-//!   library consumers that call the cache in-process from many threads.
+//! * [`config`] — the cache configuration ([`BackendConfig`]): allocation
+//!   scheme, tenants, shard count and the budget-balancing knobs.
+//! * [`Engine`] — one tenant's cache engine on one shard, exposed so the
+//!   paper's overhead tables can time the exact engine calls an event loop
+//!   makes, without the network in the way.
 //! * [`reactor`] — the epoll event loops, their mailboxes and the
 //!   wakeup-pipe hand-off (thin unsafe FFI against the system libc; no
 //!   crates).
@@ -44,8 +46,8 @@
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
 
-pub mod backend;
 pub mod client;
+pub mod config;
 mod conn;
 mod engine;
 mod hotkey;
@@ -55,8 +57,9 @@ pub mod reactor;
 pub mod server;
 mod stats;
 
-pub use backend::{detect_shards, BackendConfig, BackendMode, SharedCache, TenantSpec};
 pub use client::CacheClient;
+pub use config::{detect_shards, BackendConfig, BackendMode, TenantSpec};
+pub use engine::{route_key, Engine};
 pub use hotkey::HotKeyConfig;
 pub use plane::PlaneHandle;
 pub use protocol::{Command, Response, StatsFormat};

@@ -37,7 +37,7 @@
 //!   every owning loop has built the new tenant's engines, so a session
 //!   can never resolve a tenant whose cells do not exist yet.
 
-use crate::backend::{BackendConfig, BackendMode};
+use crate::config::{BackendConfig, BackendMode};
 use crate::engine::{even_split, route_key, weighted_split, Engine};
 use crate::hotkey::{plan_round, HotKeyCount, HotLoopState, HotShared, PromotedEntry};
 use crate::protocol::StatsFormat;
@@ -1768,7 +1768,7 @@ impl Control {
     /// The legacy human-oriented `stats` report.
     fn stats(&self) -> Vec<(String, String)> {
         let (snapshot, plane, _, _) = self.collect();
-        render_stats(&snapshot, Some(&self.telemetry), Some(&plane))
+        render_stats(&snapshot, &self.telemetry, &plane)
     }
 
     /// The machine-readable expositions: one `cliffhanger-stats/v1`
@@ -1777,7 +1777,7 @@ impl Control {
         let (snapshot, plane, loops, observed) = self.collect();
         let doc = build_document(
             &snapshot,
-            Some(&self.telemetry),
+            &self.telemetry,
             &plane,
             &loops,
             &self.admin_latency,

@@ -2,8 +2,8 @@
 //! entries.
 //!
 //! Two angles:
-//! * a threaded stress test where writers hammer the sharded backend while
-//!   rebalancing rounds run organically (interval ticks) and forcibly
+//! * a threaded stress test where writers hammer the sharded data plane
+//!   while rebalancing rounds run organically (interval ticks) and forcibly
 //!   (`rebalance_now` from a dedicated thread) under genuine memory
 //!   pressure — every read must see either the exact value last written or
 //!   a clean miss, budgets must keep summing to the configured total, and
@@ -12,46 +12,70 @@
 //!   interleaved at arbitrary points, in a no-eviction regime: with zero
 //!   evictions, *every* entry ever stored must still be present with its
 //!   exact value — a transfer can only move budget, never entries.
+//!
+//! Both run at one event loop and at two, where the shards (and so the
+//! shrink and grow halves of every transfer) are owned by different loops.
 
 use bytes::Bytes;
-use cache_core::hash_bytes;
-use cache_core::key::mix64;
-use cache_server::{BackendConfig, BackendMode, SharedCache};
+use cache_server::{route_key, BackendConfig, BackendMode, CacheServer, PlaneHandle, ServerConfig};
 use cliffhanger::ShardBalanceConfig;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn stats_map(cache: &SharedCache) -> HashMap<String, String> {
+/// The event-loop counts every test runs at.
+const LOOPS: [usize; 2] = [1, 2];
+
+/// Starts a server on an ephemeral port with `loops` event loops.
+fn start(backend: BackendConfig, loops: usize) -> CacheServer {
+    CacheServer::start(ServerConfig {
+        workers: loops,
+        backend,
+        ..ServerConfig::default()
+    })
+    .expect("server must start")
+}
+
+fn stats_map(cache: &PlaneHandle) -> HashMap<String, String> {
     cache.stats().into_iter().collect()
 }
 
-/// The shard a byte-string key routes to (same double hash as the backend),
-/// so the test can pin each writer's keys to one shard and give the shards
-/// deliberately unequal demand — uniform demand would make rebalancing a
-/// no-op and the test vacuous.
-fn shard_of(key: &str, shards: u64) -> usize {
-    (mix64(hash_bytes(key.as_bytes())) % shards) as usize
+/// The shard a byte-string key routes to, so the test can pin each
+/// writer's keys to one shard and give the shards deliberately unequal
+/// demand — uniform demand would make rebalancing a no-op and the test
+/// vacuous.
+fn shard_of(key: &str, shards: usize) -> usize {
+    route_key(0, key.as_bytes(), shards).0
 }
 
 #[test]
 fn concurrent_ops_during_rebalance_see_exact_values() {
+    for loops in LOOPS {
+        concurrent_ops_during_rebalance(loops);
+    }
+}
+
+fn concurrent_ops_during_rebalance(loops: usize) {
     let total: u64 = 16 << 20;
-    let cache = Arc::new(SharedCache::new(BackendConfig {
-        total_bytes: total,
-        mode: BackendMode::Cliffhanger,
-        shards: 4,
-        rebalance: ShardBalanceConfig {
-            interval_requests: 512,
-            credit_bytes: 64 << 10,
-            min_shard_bytes: 512 << 10,
-            min_gradient_gap: 2,
-            hysteresis: 0.05,
-            ..ShardBalanceConfig::default()
+    let server = start(
+        BackendConfig {
+            total_bytes: total,
+            mode: BackendMode::Cliffhanger,
+            shards: 4,
+            rebalance: ShardBalanceConfig {
+                interval_requests: 512,
+                credit_bytes: 64 << 10,
+                min_shard_bytes: 512 << 10,
+                min_gradient_gap: 2,
+                hysteresis: 0.05,
+                ..ShardBalanceConfig::default()
+            },
+            ..BackendConfig::default()
         },
-        ..BackendConfig::default()
-    }));
+        loops,
+    );
+    let cache = Arc::clone(server.cache());
 
     let stop = Arc::new(AtomicBool::new(false));
     // A poker thread forces extra rounds on top of the organic ticks, so
@@ -115,7 +139,7 @@ fn concurrent_ops_during_rebalance_see_exact_values() {
     let stats = stats_map(&cache);
     assert!(
         stats["rebalance:transfers"].parse::<u64>().unwrap() > 0,
-        "the stress run must actually exercise transfers: {stats:?}"
+        "{loops} loop(s): the stress run must actually exercise transfers: {stats:?}"
     );
     // The pressure must have been real for the no-corruption claim to carry
     // weight.
@@ -148,58 +172,64 @@ proptest! {
     /// its exact bytes.
     #[test]
     fn rebalance_rounds_lose_no_entries(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let total: u64 = 32 << 20;
-        let cache = SharedCache::new(BackendConfig {
-            total_bytes: total,
-            mode: BackendMode::Cliffhanger,
-            shards: 4,
-            rebalance: ShardBalanceConfig {
-                interval_requests: 16,
-                min_shard_bytes: 1 << 20,
-                ..ShardBalanceConfig::default()
-            },
-            ..BackendConfig::default()
-        });
-        let mut model: HashMap<u8, u8> = HashMap::new();
-        for op in &ops {
-            match *op {
-                Op::Set(k, v) => {
-                    let stored = cache.set(format!("key-{k}").as_bytes(), v as u32,
-                        Bytes::from(vec![v; 32]));
-                    prop_assert!(stored, "a 32-byte value must always be admitted");
-                    model.insert(k, v);
-                }
-                Op::Delete(k) => {
-                    let was_present = cache.delete(format!("key-{k}").as_bytes());
-                    prop_assert_eq!(was_present, model.remove(&k).is_some());
-                }
-                Op::Get(k) => {
-                    let got = cache.get(format!("key-{k}").as_bytes());
-                    match model.get(&k) {
-                        Some(&v) => {
-                            let (flags, data) = got.expect("entry must not vanish");
-                            prop_assert_eq!(flags, v as u32);
-                            prop_assert_eq!(data, Bytes::from(vec![v; 32]));
-                        }
-                        None => prop_assert!(got.is_none()),
+        for loops in LOOPS {
+            let total: u64 = 32 << 20;
+            let server = start(
+                BackendConfig {
+                    total_bytes: total,
+                    mode: BackendMode::Cliffhanger,
+                    shards: 4,
+                    rebalance: ShardBalanceConfig {
+                        interval_requests: 16,
+                        min_shard_bytes: 1 << 20,
+                        ..ShardBalanceConfig::default()
+                    },
+                    ..BackendConfig::default()
+                },
+                loops,
+            );
+            let cache = server.cache();
+            let mut model: HashMap<u8, u8> = HashMap::new();
+            for op in &ops {
+                match *op {
+                    Op::Set(k, v) => {
+                        let stored = cache.set(format!("key-{k}").as_bytes(), v as u32,
+                            Bytes::from(vec![v; 32]));
+                        prop_assert!(stored, "a 32-byte value must always be admitted");
+                        model.insert(k, v);
                     }
+                    Op::Delete(k) => {
+                        let was_present = cache.delete(format!("key-{k}").as_bytes());
+                        prop_assert_eq!(was_present, model.remove(&k).is_some());
+                    }
+                    Op::Get(k) => {
+                        let got = cache.get(format!("key-{k}").as_bytes());
+                        match model.get(&k) {
+                            Some(&v) => {
+                                let (flags, data) = got.expect("entry must not vanish");
+                                prop_assert_eq!(flags, v as u32);
+                                prop_assert_eq!(data, Bytes::from(vec![v; 32]));
+                            }
+                            None => prop_assert!(got.is_none()),
+                        }
+                    }
+                    Op::Rebalance => cache.rebalance_now(),
                 }
-                Op::Rebalance => cache.rebalance_now(),
             }
+            // Final audit: every modelled entry is still there, bit-exact.
+            for (&k, &v) in &model {
+                let (flags, data) = cache
+                    .get(format!("key-{k}").as_bytes())
+                    .expect("entry must survive all rebalancing rounds");
+                prop_assert_eq!(flags, v as u32);
+                prop_assert_eq!(data, Bytes::from(vec![v; 32]));
+            }
+            let stats: HashMap<String, String> = cache.stats().into_iter().collect();
+            prop_assert_eq!(&stats["evictions"], "0");
+            prop_assert_eq!(
+                cache.shard_budgets().iter().sum::<u64>(),
+                total
+            );
         }
-        // Final audit: every modelled entry is still there, bit-exact.
-        for (&k, &v) in &model {
-            let (flags, data) = cache
-                .get(format!("key-{k}").as_bytes())
-                .expect("entry must survive all rebalancing rounds");
-            prop_assert_eq!(flags, v as u32);
-            prop_assert_eq!(data, Bytes::from(vec![v; 32]));
-        }
-        let stats: HashMap<String, String> = cache.stats().into_iter().collect();
-        prop_assert_eq!(&stats["evictions"], "0");
-        prop_assert_eq!(
-            cache.shard_budgets().iter().sum::<u64>(),
-            total
-        );
     }
 }

@@ -16,31 +16,59 @@
 //!   forced concurrently — during which every sampled budget vector sums to
 //!   the configured total, reads see exact values or clean misses, and
 //!   transfers actually happen so the test means something.
+//!
+//! Each runs at one event loop and at two, where a tenant's engines (and
+//! so a flush's rebuilds and a transfer's halves) span both loops.
 
 use bytes::Bytes;
-use cache_server::{BackendConfig, BackendMode, SharedCache, TenantSpec};
+use cache_server::{
+    BackendConfig, BackendMode, CacheServer, PlaneHandle, ServerConfig, TenantSpec,
+};
 use cliffhanger::TenantBalanceConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn stats_map(cache: &SharedCache) -> HashMap<String, String> {
+/// The event-loop counts every test runs at.
+const LOOPS: [usize; 2] = [1, 2];
+
+/// Starts a server on an ephemeral port with `loops` event loops.
+fn start(backend: BackendConfig, loops: usize) -> CacheServer {
+    CacheServer::start(ServerConfig {
+        workers: loops,
+        backend,
+        ..ServerConfig::default()
+    })
+    .expect("server must start")
+}
+
+fn stats_map(cache: &PlaneHandle) -> HashMap<String, String> {
     cache.stats().into_iter().collect()
 }
 
 #[test]
 fn flush_storm_never_touches_other_tenants() {
-    let cache = Arc::new(SharedCache::new(BackendConfig {
-        total_bytes: 24 << 20,
-        mode: BackendMode::Cliffhanger,
-        shards: 2,
-        tenants: vec![
-            TenantSpec::new("flusher", 1),
-            TenantSpec::new("steady-a", 1),
-            TenantSpec::new("steady-b", 1),
-        ],
-        ..BackendConfig::default()
-    }));
+    for loops in LOOPS {
+        flush_storm(loops);
+    }
+}
+
+fn flush_storm(loops: usize) {
+    let server = start(
+        BackendConfig {
+            total_bytes: 24 << 20,
+            mode: BackendMode::Cliffhanger,
+            shards: 2,
+            tenants: vec![
+                TenantSpec::new("flusher", 1),
+                TenantSpec::new("steady-a", 1),
+                TenantSpec::new("steady-b", 1),
+            ],
+            ..BackendConfig::default()
+        },
+        loops,
+    );
+    let cache = Arc::clone(server.cache());
     let flusher = cache.tenant_index("flusher").unwrap();
     let steady = [
         cache.tenant_index("steady-a").unwrap(),
@@ -139,16 +167,26 @@ fn flush_storm_never_touches_other_tenants() {
 
 #[test]
 fn eviction_storm_is_isolated_behind_static_reservations() {
+    for loops in LOOPS {
+        eviction_storm(loops);
+    }
+}
+
+fn eviction_storm(loops: usize) {
     // Arbitration off: the storming tenant's budget cannot grow, so all its
     // pressure must be absorbed by its own engines.
-    let cache = Arc::new(SharedCache::new(BackendConfig {
-        total_bytes: 12 << 20,
-        mode: BackendMode::Cliffhanger,
-        shards: 2,
-        tenants: vec![TenantSpec::new("storm", 2), TenantSpec::new("quiet", 1)],
-        tenant_balance: TenantBalanceConfig::disabled(),
-        ..BackendConfig::default()
-    }));
+    let server = start(
+        BackendConfig {
+            total_bytes: 12 << 20,
+            mode: BackendMode::Cliffhanger,
+            shards: 2,
+            tenants: vec![TenantSpec::new("storm", 2), TenantSpec::new("quiet", 1)],
+            tenant_balance: TenantBalanceConfig::disabled(),
+            ..BackendConfig::default()
+        },
+        loops,
+    );
+    let cache = server.cache();
     let storm = cache.tenant_index("storm").unwrap();
     let quiet = cache.tenant_index("quiet").unwrap();
 
@@ -171,7 +209,7 @@ fn eviction_storm_is_isolated_behind_static_reservations() {
         }
     }
 
-    let stats = stats_map(&cache);
+    let stats = stats_map(cache);
     assert!(
         stats["tenant:storm:evictions"].parse::<u64>().unwrap() > 10_000,
         "the storm must actually have thrashed: {}",
@@ -203,22 +241,32 @@ fn eviction_storm_is_isolated_behind_static_reservations() {
 
 #[test]
 fn budgets_conserve_the_total_under_live_arbitration() {
+    for loops in LOOPS {
+        live_arbitration(loops);
+    }
+}
+
+fn live_arbitration(loops: usize) {
     let total: u64 = 16 << 20;
-    let cache = Arc::new(SharedCache::new(BackendConfig {
-        total_bytes: total,
-        mode: BackendMode::Cliffhanger,
-        shards: 2,
-        tenants: vec![TenantSpec::new("greedy", 1), TenantSpec::new("modest", 1)],
-        tenant_balance: TenantBalanceConfig {
-            interval_requests: 1_024,
-            credit_bytes: 256 << 10,
-            min_tenant_bytes: 1 << 20,
-            min_gradient_gap: 4,
-            hysteresis: 0.05,
-            ..TenantBalanceConfig::default()
+    let server = start(
+        BackendConfig {
+            total_bytes: total,
+            mode: BackendMode::Cliffhanger,
+            shards: 2,
+            tenants: vec![TenantSpec::new("greedy", 1), TenantSpec::new("modest", 1)],
+            tenant_balance: TenantBalanceConfig {
+                interval_requests: 1_024,
+                credit_bytes: 256 << 10,
+                min_tenant_bytes: 1 << 20,
+                min_gradient_gap: 4,
+                hysteresis: 0.05,
+                ..TenantBalanceConfig::default()
+            },
+            ..BackendConfig::default()
         },
-        ..BackendConfig::default()
-    }));
+        loops,
+    );
+    let cache = Arc::clone(server.cache());
     let greedy = cache.tenant_index("greedy").unwrap();
     let modest = cache.tenant_index("modest").unwrap();
 
@@ -332,11 +380,11 @@ fn budgets_conserve_the_total_under_live_arbitration() {
     let stats = stats_map(&cache);
     assert!(
         stats["arbiter:transfers"].parse::<u64>().unwrap() > 0,
-        "skewed demand must have moved budget for this test to mean anything"
+        "{loops} loop(s): skewed demand must have moved budget for this test to mean anything"
     );
     let budgets = cache.tenant_budgets();
     assert!(
         budgets[greedy] > budgets[modest],
-        "budget must follow demand: {budgets:?}"
+        "{loops} loop(s): budget must follow demand: {budgets:?}"
     );
 }

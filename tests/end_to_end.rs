@@ -30,10 +30,16 @@ fn facade_get_set_round_trip() {
     assert!(hit.hit, "value stored via the facade must be readable");
     assert_eq!(cache.value(key), Some(&"hello-cliffhanger"));
 
-    // And the same through the wire-protocol backend re-exports.
-    let shared = cache_server::SharedCache::new(BackendConfig::default());
-    assert!(shared.set(b"greeting", 7, bytes::Bytes::from_static(b"hi")));
-    let (flags, data) = shared.get(b"greeting").expect("stored key must hit");
+    // And the same through the server re-exports: the data plane that
+    // serves the wire, driven in-process through its handle.
+    let server = CacheServer::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server must start");
+    let plane = server.cache();
+    assert!(plane.set(b"greeting", 7, bytes::Bytes::from_static(b"hi")));
+    let (flags, data) = plane.get(b"greeting").expect("stored key must hit");
     assert_eq!(flags, 7);
     assert_eq!(&data[..], b"hi");
 }
