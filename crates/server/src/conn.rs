@@ -375,6 +375,12 @@ impl Connection {
                 ParseOutcome::Incomplete => break,
             }
         }
+        // Consuming input keeps the buffer's allocation, so after a burst
+        // or one large value let a drained buffer go back to its read-sized
+        // start instead of pinning the peak (as `flush` does for `out`).
+        if self.inbuf.is_empty() && self.inbuf.capacity() > IN_FILL_BUDGET + READ_CHUNK {
+            self.inbuf = BytesMut::with_capacity(READ_CHUNK);
+        }
         Step::Parsed(parsed)
     }
 

@@ -2213,7 +2213,9 @@ impl Plane {
     }
 
     /// Stops the control thread first (admin requests in flight drain with
-    /// the loops still alive to answer), then the loops.
+    /// the loops still alive to answer), then the loops, then returns what
+    /// they freed to the OS: a process that starts and stops servers would
+    /// otherwise keep the dead threads' freed memory resident.
     pub(crate) fn shutdown(&mut self) {
         let _ = self.ctrl.send(CtrlReq::Shutdown);
         if let Some(thread) = self.control.take() {
@@ -2225,5 +2227,6 @@ impl Plane {
         for event_loop in self.loops.iter() {
             event_loop.join();
         }
+        crate::reactor::release_free_memory();
     }
 }

@@ -30,7 +30,7 @@
 //! sends `app` runs in the `default` namespace and observes exactly the
 //! pre-extension protocol.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
 /// A parsed client command.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -221,77 +221,80 @@ enum LineOutcome {
 /// Parses one command line (CRLF excluded). Shared by the stateless
 /// [`parse_command`] and the resumable [`Parser`], so the two entry points
 /// cannot drift apart.
+///
+/// The line is split as bytes, on the same ASCII whitespace set as
+/// `str::split_ascii_whitespace`, so keys stay byte-exact: two keys that
+/// differ only in non-UTF-8 bytes never collapse into one.
 fn parse_line(line: &[u8]) -> LineOutcome {
-    let line_str = String::from_utf8_lossy(line).to_string();
-    let mut parts = line_str.split_ascii_whitespace();
+    let mut parts = line
+        .split(u8::is_ascii_whitespace)
+        .filter(|field| !field.is_empty());
     let Some(verb) = parts.next() else {
         return LineOutcome::Invalid("empty command".to_string());
     };
     match verb {
-        "get" | "gets" => {
-            let keys: Vec<Bytes> = parts
-                .map(|k| Bytes::copy_from_slice(k.as_bytes()))
-                .collect();
+        b"get" | b"gets" => {
+            let keys: Vec<Bytes> = parts.map(Bytes::copy_from_slice).collect();
             if keys.is_empty() {
                 LineOutcome::Invalid("get requires at least one key".to_string())
             } else {
                 LineOutcome::Complete(Command::Get { keys })
             }
         }
-        "set" | "add" | "replace" => {
+        b"set" | b"add" | b"replace" => {
             let verb = match verb {
-                "set" => StoreVerb::Set,
-                "add" => StoreVerb::Add,
+                b"set" => StoreVerb::Set,
+                b"add" => StoreVerb::Add,
                 _ => StoreVerb::Replace,
             };
-            let key = parts.next().map(str::to_string);
-            let flags = parts.next().and_then(|s| s.parse::<u32>().ok());
-            let exptime = parts.next().and_then(|s| s.parse::<u32>().ok());
-            let bytes = parts.next().and_then(|s| s.parse::<usize>().ok());
-            let noreply = parts.next() == Some("noreply");
+            let key = parts.next();
+            let flags = parts.next().and_then(parse_number::<u32>);
+            let exptime = parts.next().and_then(parse_number::<u32>);
+            let bytes = parts.next().and_then(parse_number::<usize>);
+            let noreply = parts.next() == Some(b"noreply");
             let (Some(key), Some(flags), Some(exptime), Some(bytes)) = (key, flags, exptime, bytes)
             else {
                 return LineOutcome::Invalid("bad store command".to_string());
             };
             LineOutcome::Store(PendingStore {
                 verb,
-                key: Bytes::copy_from_slice(key.as_bytes()),
+                key: Bytes::copy_from_slice(key),
                 flags,
                 exptime,
                 bytes,
                 noreply,
             })
         }
-        "delete" => {
-            let key = parts.next().map(str::to_string);
-            let noreply = parts.next() == Some("noreply");
+        b"delete" => {
+            let key = parts.next();
+            let noreply = parts.next() == Some(b"noreply");
             match key {
                 Some(key) => LineOutcome::Complete(Command::Delete {
-                    key: Bytes::copy_from_slice(key.as_bytes()),
+                    key: Bytes::copy_from_slice(key),
                     noreply,
                 }),
                 None => LineOutcome::Invalid("delete requires a key".to_string()),
             }
         }
-        "app" => {
-            let id = parts.next().map(str::to_string);
+        b"app" => {
+            let id = parts.next();
             let extra = parts.next().is_some();
             match id {
                 Some(id) if !extra => LineOutcome::Complete(Command::App {
-                    id: Bytes::copy_from_slice(id.as_bytes()),
+                    id: Bytes::copy_from_slice(id),
                 }),
                 Some(_) => LineOutcome::Invalid("app takes exactly one name".to_string()),
                 None => LineOutcome::Invalid("app requires a name".to_string()),
             }
         }
-        "app_create" => {
-            let name = parts.next().map(str::to_string);
-            let weight = parts.next().and_then(|w| w.parse::<u64>().ok());
+        b"app_create" => {
+            let name = parts.next();
+            let weight = parts.next().and_then(parse_number::<u64>);
             let extra = parts.next().is_some();
             match (name, weight) {
                 (Some(name), Some(weight)) if weight >= 1 && !extra => {
                     LineOutcome::Complete(Command::AppCreate {
-                        name: Bytes::copy_from_slice(name.as_bytes()),
+                        name: Bytes::copy_from_slice(name),
                         weight,
                     })
                 }
@@ -300,12 +303,12 @@ fn parse_line(line: &[u8]) -> LineOutcome {
                 ),
             }
         }
-        "app_list" => LineOutcome::Complete(Command::AppList),
-        "stats" => {
+        b"app_list" => LineOutcome::Complete(Command::AppList),
+        b"stats" => {
             let format = match (parts.next(), parts.next()) {
                 (None, _) => Some(StatsFormat::Text),
-                (Some("json"), None) => Some(StatsFormat::Json),
-                (Some("prom"), None) => Some(StatsFormat::Prom),
+                (Some(b"json"), None) => Some(StatsFormat::Json),
+                (Some(b"prom"), None) => Some(StatsFormat::Prom),
                 _ => None,
             };
             match format {
@@ -313,11 +316,19 @@ fn parse_line(line: &[u8]) -> LineOutcome {
                 None => LineOutcome::Invalid("stats takes at most one of: json, prom".to_string()),
             }
         }
-        "version" => LineOutcome::Complete(Command::Version),
-        "flush_all" => LineOutcome::Complete(Command::FlushAll),
-        "quit" => LineOutcome::Complete(Command::Quit),
-        other => LineOutcome::Invalid(format!("unknown command {other}")),
+        b"version" => LineOutcome::Complete(Command::Version),
+        b"flush_all" => LineOutcome::Complete(Command::FlushAll),
+        b"quit" => LineOutcome::Complete(Command::Quit),
+        other => LineOutcome::Invalid(format!(
+            "unknown command {}",
+            String::from_utf8_lossy(other)
+        )),
     }
+}
+
+/// Parses a numeric field; a field that is not UTF-8 is not a number.
+fn parse_number<T: std::str::FromStr>(field: &[u8]) -> Option<T> {
+    std::str::from_utf8(field).ok()?.parse().ok()
 }
 
 /// Attempts to parse one command from the front of `buffer`, consuming the
@@ -543,7 +554,7 @@ pub fn encode_response(response: &Response, out: &mut Vec<u8>) {
 fn discard_keeping_split_cr(buffer: &mut BytesMut) {
     let keep = usize::from(buffer.last() == Some(&b'\r'));
     let drop = buffer.len() - keep;
-    let _ = buffer.split_to(drop);
+    buffer.advance(drop);
 }
 
 fn find_crlf(buffer: &[u8], from: usize) -> Option<usize> {
@@ -560,7 +571,7 @@ trait AdvanceChecked {
 impl AdvanceChecked for BytesMut {
     fn advance_checked(&mut self, n: usize) {
         let n = n.min(self.len());
-        let _ = self.split_to(n);
+        self.advance(n);
     }
 }
 
@@ -633,6 +644,44 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_utf8_keys_stay_distinct_and_byte_exact() {
+        let mut b = buf(b"get \xff\r\nget \xfe a\xffb\r\nset \xff 0 0 1\r\nx\r\ndelete \xfe\r\n");
+        let mut parsed = Vec::new();
+        while let ParseOutcome::Complete(command) = parse_command(&mut b) {
+            parsed.push(command);
+        }
+        assert!(b.is_empty(), "every command parses");
+        let key = |bytes: &[u8]| Bytes::copy_from_slice(bytes);
+        assert_eq!(
+            parsed[0],
+            Command::Get {
+                keys: vec![key(b"\xff")]
+            }
+        );
+        assert_eq!(
+            parsed[1],
+            Command::Get {
+                keys: vec![key(b"\xfe"), key(b"a\xffb")]
+            }
+        );
+        assert!(matches!(&parsed[2], Command::Store { key: k, .. } if k == &key(b"\xff")));
+        assert!(matches!(&parsed[3], Command::Delete { key: k, .. } if k == &key(b"\xfe")));
+    }
+
+    #[test]
+    fn error_messages_render_non_utf8_input_lossily() {
+        let mut b = buf(b"bo\xffgus x\r\nset k \xff 0 1\r\n");
+        assert_eq!(
+            parse_command(&mut b),
+            ParseOutcome::Invalid("unknown command bo\u{FFFD}gus".to_string())
+        );
+        assert_eq!(
+            parse_command(&mut b),
+            ParseOutcome::Invalid("bad store command".to_string())
+        );
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!
 //! The epoll binding is a thin unsafe FFI against the system libc — the
 //! workspace is offline/vendored-only, so no `mio`/`libc` crates. The
-//! unsafe surface is confined to the `ffi` module: four syscalls and the
-//! kernel's `struct epoll_event` layout. The wakeup pipe is a
-//! `UnixStream::pair`, which the standard library manages safely.
+//! unsafe surface is confined to the `ffi` module: four syscalls, the
+//! kernel's `struct epoll_event` layout and glibc's `malloc_trim`. The
+//! wakeup pipe is a `UnixStream::pair`, which the standard library
+//! manages safely.
 
 use crate::conn::{Connection, Ctx, Drive};
 use crate::plane::{AdminResult, DataOutcome, LoopMsg, LoopState, PlaneShared};
@@ -37,8 +38,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Thin FFI over the kernel epoll interface. All `unsafe` in the crate
-/// lives here.
+/// Thin FFI over the kernel epoll interface and the C allocator. All
+/// `unsafe` in the crate lives here.
 #[allow(unsafe_code)]
 mod ffi {
     use std::io;
@@ -83,6 +84,24 @@ mod ffi {
             timeout: c_int,
         ) -> c_int;
         fn close(fd: c_int) -> c_int;
+    }
+
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    extern "C" {
+        fn malloc_trim(pad: usize) -> c_int;
+    }
+
+    /// Hands the C allocator's free memory back to the OS: with glibc,
+    /// `malloc_trim(0)`, which also empties the free lists of the arenas
+    /// that exited threads leave behind. A no-op on other C libraries.
+    pub fn release_free_memory() {
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        // SAFETY: `malloc_trim` takes no pointers and walks only the
+        // allocator's own free lists, under the allocator's locks; any
+        // thread may call it at any time.
+        unsafe {
+            malloc_trim(0);
+        }
     }
 
     /// An owned epoll instance.
@@ -160,7 +179,9 @@ mod ffi {
     }
 }
 
-pub(crate) use ffi::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+pub(crate) use ffi::{
+    release_free_memory, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 
 /// Connection counters shared by the acceptor, the event loops and `stats`:
 /// a live-connection gauge per loop plus server-wide accept totals. All

@@ -6,6 +6,8 @@ use bytes::Bytes;
 use cliffhanger_repro::prelude::*;
 use cliffhanger_repro::workloads::{etc_workload, EtcConfig};
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 fn start(mode: BackendMode, total_bytes: u64) -> CacheServer {
     CacheServer::start(ServerConfig {
@@ -114,4 +116,29 @@ fn worst_case_all_miss_traffic_stays_correct_under_eviction() {
     assert!(bytes <= 1 << 20, "cache exceeded its budget: {bytes}");
     let evictions: u64 = stats["evictions"].parse().unwrap();
     assert!(evictions > 1_000, "evictions expected under pressure");
+}
+
+#[test]
+fn non_utf8_keys_never_alias_over_the_wire() {
+    // `\xff` and `\xfe` are distinct keys that are not UTF-8; a parser that
+    // decoded lines lossily would map both to U+FFFD and answer the GET
+    // with the other key's value.
+    let server = start(BackendMode::Cliffhanger, 8 << 20);
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut roundtrip = |request: &[u8], reply_lines: usize| -> Vec<u8> {
+        writer.write_all(request).unwrap();
+        let mut reply = Vec::new();
+        for _ in 0..reply_lines {
+            reader.read_until(b'\n', &mut reply).unwrap();
+        }
+        reply
+    };
+    assert_eq!(roundtrip(b"set \xff 0 0 5\r\nfirst\r\n", 1), b"STORED\r\n");
+    assert_eq!(roundtrip(b"get \xfe\r\n", 1), b"END\r\n");
+    assert_eq!(
+        roundtrip(b"get \xff\r\n", 3),
+        b"VALUE \xff 0 5\r\nfirst\r\nEND\r\n"
+    );
 }
